@@ -56,12 +56,13 @@ class SetAssocCache:
     def lookup(self, line: int, touch: bool = True) -> CacheState:
         """State of a line (``INVALID`` if absent); updates LRU on hit."""
         s = self._sets[line % self.n_sets]
-        state = s.get(line)
-        if state is None:
+        # Membership test rather than s.get(): most lookups (every
+        # broadcast invalidation probes every cache) miss.
+        if line not in s:
             return CacheState.INVALID
         if touch:
             s.move_to_end(line)
-        return state
+        return s[line]
 
     def install(self, line: int, state: CacheState) -> tuple[int, CacheState] | None:
         """Insert/overwrite a line; returns the evicted ``(line, state)``

@@ -145,20 +145,13 @@ class DirectoryController:
             e = self.entries[address] = DirectoryEntry()
         return e
 
-    def _seq_for_unicast(self) -> int | None:
-        if self.sequencer is None:
-            return None
-        return self.sequencer.current_seq(self.slice_id)
-
     def _send(self, mtype: MsgType, address: int, dest: int, now: int,
-              requester: int | None = None, seq: int | None = None) -> None:
-        if seq is None:
-            seq = self._seq_for_unicast()
+              requester: int | None = None) -> None:
+        # Directory unicasts carry the slice's most recent broadcast seq.
+        sequencer = self.sequencer
+        seq = None if sequencer is None else sequencer.current_seq(self.slice_id)
         self.fabric.send_msg(
-            CoherenceMsg(
-                mtype=mtype, address=address, sender=self.core, dest=dest,
-                seq=seq, requester=requester,
-            ),
+            CoherenceMsg(mtype, address, self.core, dest, seq, requester),
             now,
         )
 
@@ -166,23 +159,19 @@ class DirectoryController:
     def handle(self, msg: CoherenceMsg, now: int) -> None:
         """Entry point for every message addressed to this directory."""
         mt = msg.mtype
-        if mt in (MsgType.SH_REQ, MsgType.EX_REQ, MsgType.DIRTY_WB):
+        if mt in _REQUESTS:
             if msg.address in self.busy:
                 self.queues.setdefault(msg.address, deque()).append(msg)
                 return
             self._start(msg, now + self.dir_latency)
-        elif mt is MsgType.EVICT_NOTIFY:
-            self._evict_notify(msg, now)
-        elif mt is MsgType.INV_ACK:
-            self._ack(msg, now)
-        elif mt in (MsgType.FLUSH_REP, MsgType.WB_REP):
-            self._owner_reply(msg, now)
-        elif mt is MsgType.MEM_DATA:
-            self._mem_data(msg, now)
-        elif mt is MsgType.MEM_WRITE_ACK:
-            pass  # fire-and-forget memory updates
-        else:
-            raise ValueError(f"directory at core {self.core} got {mt}")
+            return
+        try:
+            handler = _RESPONSE_HANDLERS[mt]
+        except KeyError:
+            raise ValueError(
+                f"directory at core {self.core} got {mt}"
+            ) from None
+        handler(self, msg, now)
 
     # ------------------------------------------------------------------
     def _start(self, msg: CoherenceMsg, now: int) -> None:
@@ -359,6 +348,9 @@ class DirectoryController:
         if txn.complete:
             self._finish(msg.address, now)
 
+    def _mem_write_ack(self, msg: CoherenceMsg, now: int) -> None:
+        pass  # fire-and-forget memory updates
+
     # -- transaction completion ---------------------------------------------
     def _finish(self, address: int, now: int) -> None:
         txn = self.busy.pop(address)
@@ -406,3 +398,18 @@ class DirectoryController:
         if not q:
             del self.queues[address]
         self._start(nxt, now + self.dir_latency)
+
+
+#: Requests serialized per line (queued while the line is busy).
+_REQUESTS = frozenset((MsgType.SH_REQ, MsgType.EX_REQ, MsgType.DIRTY_WB))
+
+#: Per-type dispatch for every other message :meth:`DirectoryController.handle`
+#: accepts.
+_RESPONSE_HANDLERS = {
+    MsgType.EVICT_NOTIFY: DirectoryController._evict_notify,
+    MsgType.INV_ACK: DirectoryController._ack,
+    MsgType.FLUSH_REP: DirectoryController._owner_reply,
+    MsgType.WB_REP: DirectoryController._owner_reply,
+    MsgType.MEM_DATA: DirectoryController._mem_data,
+    MsgType.MEM_WRITE_ACK: DirectoryController._mem_write_ack,
+}

@@ -26,7 +26,7 @@ from typing import Callable
 
 from repro.coherence.cache import CacheState, SetAssocCache
 from repro.coherence.messages import CoherenceMsg, MsgType
-from repro.coherence.sequencing import SequenceTracker
+from repro.coherence.sequencing import SEQ_HALF, SEQ_MOD, SequenceTracker
 
 
 @dataclass(slots=True)
@@ -191,43 +191,48 @@ class L2Controller:
         # computed inside the branches that use it -- replies and acks
         # (the bulk of traffic) skip it entirely.
         if mt is MsgType.INV_BCAST:
-            self.handle_broadcast(msg, now)
+            # Reference per-core delivery and the home's local loopback.
+            self.handle_broadcast(
+                msg, self.fabric.slice_of_home(msg.sender), now
+            )
             return
-        if mt in (MsgType.INV_REQ, MsgType.FLUSH_REQ, MsgType.WB_REQ):
-            if self.sequencing and self.tracker.unicast_is_early(
+        if mt in _DIR_REQUESTS and self.sequencing and (
+            self.tracker.unicast_is_early(
                 self.fabric.slice_of_home(msg.sender), msg.seq
-            ):
-                # The directory sent a broadcast we have not seen yet:
-                # hold this request to preserve per-address FIFO order.
-                self.counters.unicasts_buffered_early += 1
-                self._early_unicasts.append(msg)
-                return
-            self._handle_dir_request(msg, now)
+            )
+        ):
+            # The directory sent a broadcast we have not seen yet: hold
+            # this request to preserve per-address FIFO order.
+            self.counters.unicasts_buffered_early += 1
+            self._early_unicasts.append(msg)
             return
-        if mt is MsgType.SH_REP:
-            self._handle_sh_rep(msg, now)
-            return
-        if mt is MsgType.EX_REP:
-            self._handle_ex_rep(msg, now)
-            return
-        if mt is MsgType.WB_ACK:
-            self.wb_buffer.discard(msg.address)
-            return
-        raise ValueError(f"L2 controller at core {self.core} got {mt}")
+        try:
+            handler = _HANDLERS[mt]
+        except KeyError:
+            raise ValueError(
+                f"L2 controller at core {self.core} got {mt}"
+            ) from None
+        handler(self, msg, now)
 
     # -- broadcast invalidations ------------------------------------------
-    def handle_broadcast(self, msg: CoherenceMsg, now: int) -> None:
-        """Entry point for INV_BCAST deliveries.
+    def handle_broadcast(
+        self, msg: CoherenceMsg, slice_id: int, now: int, acked: bool = False
+    ) -> None:
+        """One INV_BCAST from directory slice ``slice_id``, in one frame.
 
-        Identical to ``handle`` for broadcast messages; public so the
-        batched fan-out path can skip the message-type dispatch it has
-        already done once for the whole group.
+        The batched fan-out calls this once per member cache, with the
+        slice resolved once per arrival group.  The invalidation, the
+        acknowledgement and the sequence-tracker update all happen here;
+        buffered early unicasts are revisited only when there are some.
+        ``acked`` means this core already acknowledged the broadcast when
+        it buffered it (Dir_kB, see below).
         """
+        mshr = self.mshr
         if (
-            self.sequencing
-            and self.mshr is not None
-            and self.mshr.address == msg.address
-            and not self.mshr.is_write
+            mshr is not None
+            and self.sequencing
+            and mshr.address == msg.address
+            and not mshr.is_write
         ):
             # Potentially overtook the SH_REP we are waiting for
             # (paper's exact buffered case).  Reconciled on reply.
@@ -246,36 +251,31 @@ class L2Controller:
                     now + 1,
                 )
             return
-        self._process_bcast(msg, now, note=True)
-
-    def _process_bcast(
-        self, msg: CoherenceMsg, now: int, note: bool, may_ack: bool = True
-    ) -> None:
         c = self.counters
         c.invalidations_received += 1
         c.l2_tag_probes += 1
-        had_line = self.l2.lookup(msg.address, touch=False) is not CacheState.INVALID
+        address = msg.address
+        had_line = self.l2.lookup(address, False) is not CacheState.INVALID
         if had_line:
-            self.l2.set_state(msg.address, CacheState.INVALID)
-            self.l1d.invalidate(msg.address)
+            self.l2.set_state(address, CacheState.INVALID)
+            self.l1d.invalidate(address)
         # ACKwise: only true sharers respond.  Dir_kB: everyone does.
-        must_ack = may_ack and (had_line or self._all_ack)
-        if must_ack:
+        if not acked and (had_line or self._all_ack):
             self.fabric.send_msg(
-                CoherenceMsg(
-                    mtype=MsgType.INV_ACK, address=msg.address,
-                    sender=self.core, dest=msg.sender,
-                ),
+                CoherenceMsg(MsgType.INV_ACK, address, self.core, msg.sender),
                 now + 1,
             )
-        if note and self.sequencing and msg.seq is not None:
-            self._note_broadcast(self.fabric.slice_of_home(msg.sender), msg.seq, now)
+        seq = msg.seq
+        if seq is not None and self.sequencing:
+            # SequenceTracker.note_broadcast, inlined (see seq_after).
+            seen = self.tracker.seen
+            if 0 < (seq - seen[slice_id]) % SEQ_MOD < SEQ_HALF:
+                seen[slice_id] = seq
+            if self._early_unicasts:
+                self._release_early(now)
 
-    def _note_broadcast(self, slice_id: int, seq: int, now: int) -> None:
-        """Advance the slice tracker and release unblocked early unicasts."""
-        self.tracker.note_broadcast(slice_id, seq)
-        if not self._early_unicasts:
-            return  # common case: nothing buffered
+    def _release_early(self, now: int) -> None:
+        """Serve the buffered directory requests no longer early."""
         still_early = []
         for m in self._early_unicasts:
             s = self.fabric.slice_of_home(m.sender)
@@ -356,12 +356,6 @@ class L2Controller:
         raise ValueError(f"not a directory request: {mt}")
 
     # -- replies --------------------------------------------------------------
-    def _complete_mshr(self, now: int) -> None:
-        mshr = self.mshr
-        self.mshr = None
-        done = now + self.fill_latency
-        mshr.callback(done)
-
     def _handle_sh_rep(self, msg: CoherenceMsg, now: int) -> None:
         mshr = self.mshr
         if mshr is None or mshr.address != msg.address or mshr.is_write:
@@ -369,6 +363,9 @@ class L2Controller:
                 f"core {self.core}: SH_REP without matching SH_REQ "
                 f"(line {msg.address})"
             )
+        # The reply closes the miss before the reconciliation below, so
+        # the reconciled broadcasts are applied, not buffered again.
+        self.mshr = None
         self._install(msg.address, CacheState.SHARED, now)
         # Reconcile any broadcast invalidations that overtook this reply
         # (Section IV-C1): stale ones are dropped; genuinely newer ones
@@ -380,15 +377,16 @@ class L2Controller:
                 self.tracker.broadcast_is_stale(slice_id, b.seq, msg.seq)
             ):
                 self.counters.bcast_invs_stale_dropped += 1
-                self._note_broadcast(slice_id, b.seq, now)
+                self.tracker.note_broadcast(slice_id, b.seq)
+                if self._early_unicasts:
+                    self._release_early(now)
             else:
                 # Dir_kB already acknowledged at buffer time; ACKwise
                 # acks now (this core was a counted sharer).
-                self._process_bcast(
-                    b, now + 1, note=True,
-                    may_ack=not self._all_ack,
+                self.handle_broadcast(
+                    b, slice_id, now + 1, acked=self._all_ack
                 )
-        self._complete_mshr(now)
+        mshr.callback(now + self.fill_latency)
 
     def _handle_ex_rep(self, msg: CoherenceMsg, now: int) -> None:
         mshr = self.mshr
@@ -397,8 +395,12 @@ class L2Controller:
                 f"core {self.core}: EX_REP without matching EX_REQ "
                 f"(line {msg.address})"
             )
+        self.mshr = None
         self._install(msg.address, CacheState.MODIFIED, now)
-        self._complete_mshr(now)
+        mshr.callback(now + self.fill_latency)
+
+    def _wb_ack(self, msg: CoherenceMsg, now: int) -> None:
+        self.wb_buffer.discard(msg.address)
 
     # -- fills and evictions ------------------------------------------------
     def _install(self, address: int, state: CacheState, now: int) -> None:
@@ -430,3 +432,18 @@ class L2Controller:
                     ),
                     now,
                 )
+
+
+#: Directory requests subject to the early-unicast check (Section IV-C1).
+_DIR_REQUESTS = frozenset((MsgType.INV_REQ, MsgType.FLUSH_REQ, MsgType.WB_REQ))
+
+#: Per-type dispatch for :meth:`L2Controller.handle` (INV_BCAST is
+#: routed before the lookup, since it needs its directory slice).
+_HANDLERS = {
+    MsgType.INV_REQ: L2Controller._handle_dir_request,
+    MsgType.FLUSH_REQ: L2Controller._handle_dir_request,
+    MsgType.WB_REQ: L2Controller._handle_dir_request,
+    MsgType.SH_REP: L2Controller._handle_sh_rep,
+    MsgType.EX_REP: L2Controller._handle_ex_rep,
+    MsgType.WB_ACK: L2Controller._wb_ack,
+}

@@ -34,12 +34,16 @@ class MemoryTiming:
 class MemoryController:
     """One cluster's memory controller."""
 
-    __slots__ = ("core", "timing", "_channel", "reads", "writes", "fabric")
+    __slots__ = ("core", "timing", "_channel", "reads", "writes", "fabric",
+                 "_serialization", "_access_cycles")
 
     def __init__(self, core: int, fabric, timing: MemoryTiming | None = None) -> None:
         self.core = core
         self.fabric = fabric
         self.timing = timing if timing is not None else MemoryTiming()
+        # The timing is frozen: resolve its derived cycle counts once.
+        self._serialization = self.timing.serialization_cycles
+        self._access_cycles = self._serialization + self.timing.latency_cycles
         self._channel = PortResource()
         self.reads = 0
         self.writes = 0
@@ -54,8 +58,7 @@ class MemoryController:
             reply_type = MsgType.MEM_WRITE_ACK
         else:
             raise ValueError(f"memory controller got {msg.mtype}")
-        start = self._channel.reserve(now, self.timing.serialization_cycles)
-        done = start + self.timing.serialization_cycles + self.timing.latency_cycles
+        start = self._channel.reserve(now, self._serialization)
         reply = CoherenceMsg(
             mtype=reply_type,
             address=msg.address,
@@ -63,7 +66,7 @@ class MemoryController:
             dest=msg.sender,
             requester=msg.requester,
         )
-        self.fabric.send_msg(reply, done)
+        self.fabric.send_msg(reply, start + self._access_cycles)
 
     @property
     def accesses(self) -> int:

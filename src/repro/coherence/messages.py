@@ -7,7 +7,7 @@ in packet slack and adds no flits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, auto
 
 from repro.network.types import CONTROL_MSG_BITS, DATA_MSG_BITS
@@ -63,8 +63,16 @@ DATA_BEARING = frozenset(
     }
 )
 
+#: Packet size of every message type in bits (Section IV-C1), resolved
+#: once so the injection path reads a table instead of testing
+#: ``DATA_BEARING`` membership per message.
+MSG_BITS: dict[MsgType, int] = {
+    mt: DATA_MSG_BITS if mt in DATA_BEARING else CONTROL_MSG_BITS
+    for mt in MsgType
+}
 
-@dataclass(slots=True)
+
+@dataclass(slots=True, init=False)
 class CoherenceMsg:
     """One protocol message.
 
@@ -100,13 +108,34 @@ class CoherenceMsg:
     #: protocol; always ``None`` when telemetry is off.
     txn: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.address < 0:
-            raise ValueError(f"address must be non-negative, got {self.address}")
+    # Hand-written rather than generated: one message is built per
+    # protocol send, and the generated ``__init__`` plus a
+    # ``__post_init__`` for the address check cost two calls.
+    def __init__(
+        self,
+        mtype: MsgType,
+        address: int,
+        sender: int,
+        dest: int,
+        seq: int | None = None,
+        requester: int | None = None,
+        retained: bool = True,
+        txn: int | None = None,
+    ) -> None:
+        if address < 0:
+            raise ValueError(f"address must be non-negative, got {address}")
+        self.mtype = mtype
+        self.address = address
+        self.sender = sender
+        self.dest = dest
+        self.seq = seq
+        self.requester = requester
+        self.retained = retained
+        self.txn = txn
 
     @property
     def size_bits(self) -> int:
-        return DATA_MSG_BITS if self.mtype in DATA_BEARING else CONTROL_MSG_BITS
+        return MSG_BITS[self.mtype]
 
     @property
     def is_broadcast(self) -> bool:

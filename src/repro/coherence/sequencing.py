@@ -29,13 +29,13 @@ from dataclasses import dataclass, field
 
 SEQ_BITS = 16
 SEQ_MOD = 1 << SEQ_BITS
-_HALF = 1 << (SEQ_BITS - 1)
+SEQ_HALF = 1 << (SEQ_BITS - 1)
 
 
 def seq_after(a: int, b: int) -> bool:
     """True if sequence number ``a`` is logically after ``b`` (mod 2^16)."""
     d = (a - b) % SEQ_MOD
-    return 0 < d < _HALF
+    return 0 < d < SEQ_HALF
 
 
 class DirectorySequencer:
@@ -64,22 +64,27 @@ class DirectorySequencer:
 
 
 class SequenceTracker:
-    """The receiving side: last processed broadcast seq per slice."""
+    """The receiving side: last processed broadcast seq per slice.
 
-    __slots__ = ("_last_seen",)
+    ``seen`` is the per-slice list itself: the L2 controller's broadcast
+    fan-out applies :meth:`note_broadcast`'s rule to it inline, once per
+    receiving core.
+    """
+
+    __slots__ = ("seen",)
 
     def __init__(self, n_slices: int) -> None:
         if n_slices < 1:
             raise ValueError(f"n_slices must be >= 1, got {n_slices}")
-        self._last_seen = [0] * n_slices
+        self.seen = [0] * n_slices
 
     def last_seen(self, slice_id: int) -> int:
-        return self._last_seen[slice_id]
+        return self.seen[slice_id]
 
     def note_broadcast(self, slice_id: int, seq: int) -> None:
         """Record that a broadcast with ``seq`` has been processed."""
-        if seq_after(seq, self._last_seen[slice_id]):
-            self._last_seen[slice_id] = seq
+        if seq_after(seq, self.seen[slice_id]):
+            self.seen[slice_id] = seq
 
     def unicast_is_early(self, slice_id: int, seq: int | None) -> bool:
         """True if a directory unicast overtook an unprocessed broadcast.
@@ -90,7 +95,7 @@ class SequenceTracker:
         """
         if seq is None:
             return False
-        return seq_after(seq, self._last_seen[slice_id])
+        return seq_after(seq, self.seen[slice_id])
 
     def broadcast_is_stale(self, slice_id: int, bcast_seq: int, reply_seq: int) -> bool:
         """Paper's SH_REP-vs-buffered-INV_BCAST comparison.

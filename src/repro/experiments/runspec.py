@@ -107,6 +107,9 @@ class RunSpec:
             raise ValueError(f"mesh_width must be >= 4, got {self.mesh_width}")
         if self.rthres < 0:
             raise ValueError(f"rthres must be >= 0, got {self.rthres}")
+        # The config enforces the network's capabilities (e.g. its
+        # min_clusters), so a spec that constructs also runs.
+        self.config()
 
     # -- identity -------------------------------------------------------
     def to_dict(self) -> dict:

@@ -79,10 +79,12 @@ class AtacNetwork(_MeshBase):
         self._hub_of_core = tuple(
             topology.hub_core(cluster) for cluster in self._cluster_of_core
         )
-        # Oblivious policies answer use_onet from (src, dst) alone, so
-        # the verdict is memoized per core pair; adaptive policies
-        # (oblivious=False) are consulted on every send.
-        self._use_onet_cache: dict[int, bool] | None = (
+        # src*n_cores+dst -> the unicast's ENet port route, or None when
+        # it takes the ONet: one lookup resolves both the routing
+        # verdict and the route.  Oblivious policies answer use_onet
+        # from (src, dst) alone, so the plan is memoized per core pair;
+        # adaptive policies (oblivious=False) are consulted on every send.
+        self._unicast_plans: dict[int, tuple[int, ...] | None] | None = (
             {} if self.routing.oblivious else None
         )
         self.receive_nets = [
@@ -113,34 +115,59 @@ class AtacNetwork(_MeshBase):
         return t + self.hub_delay
 
     # ------------------------------------------------------------------
-    def _send_unicast(self, pkt: Packet, n_flits: int) -> list[tuple[int, int]]:
-        topo = self.topology
-        cache = self._use_onet_cache
-        if cache is None:
-            use_onet = self.routing.use_onet(topo, pkt.src, pkt.dst)
-        else:
-            key = pkt.src * self._n_cores + pkt.dst
-            use_onet = cache.get(key)
-            if use_onet is None:
-                use_onet = cache[key] = self.routing.use_onet(
-                    topo, pkt.src, pkt.dst
-                )
-        if not use_onet:
-            arrival = self._traverse(pkt.src, pkt.dst, pkt.time, n_flits)
-            return [(pkt.dst, arrival)]
+    def _unicast_plan(self, src: int, dst: int) -> tuple[int, ...] | None:
+        """ENet port route for a unicast src -> dst, or None for the ONet."""
+        if self.routing.use_onet(self.topology, src, dst):
+            return None
+        return self._route(src, dst)
 
-        src_cluster = self._cluster_of_core[pkt.src]
-        dst_cluster = self._cluster_of_core[pkt.dst]
-        at_hub = self._to_hub(pkt.src, pkt.time, n_flits)
+    def _send_unicast(self, pkt: Packet, n_flits: int) -> list[tuple[int, int]]:
+        src = pkt.src
+        dst = pkt.dst
+        plans = self._unicast_plans
+        if plans is None:
+            route = self._unicast_plan(src, dst)
+        else:
+            # Membership test, not try/except: synthetic open-loop
+            # traffic misses on most of its (src, dst) pairs.
+            key = src * self._n_cores + dst
+            if key in plans:
+                route = plans[key]
+            else:
+                route = plans[key] = self._unicast_plan(src, dst)
+        if route is not None:
+            # Electrical unicast: _traverse over the resolved route,
+            # inlined (same reservation arithmetic) -- nearly every
+            # ATAC+ unicast takes this path.
+            hops = len(route)
+            s = self.stats
+            s.router_flit_traversals += n_flits * (hops + 1)
+            s.link_flit_traversals += n_flits * hops
+            s.router_arbitrations += hops + 1
+            head = pkt.time
+            hop_latency = self._hop_latency
+            free_at = self._free_at
+            busy = self._busy
+            for i in route:
+                free = free_at[i]
+                start = head if head > free else free
+                free_at[i] = start + n_flits
+                busy[i] += n_flits
+                head = start + hop_latency
+            return [(dst, head + n_flits)]
+
+        src_cluster = self._cluster_of_core[src]
+        dst_cluster = self._cluster_of_core[dst]
+        at_hub = self._to_hub(src, pkt.time, n_flits)
         _, hub_arrival = self.onet_links[src_cluster].transmit(
             at_hub, n_flits, broadcast=False
         )
         # receive-side hub crossing, then the cluster receive network
         self.stats.hub_flit_traversals += n_flits
         arrival = self.receive_nets[dst_cluster].deliver_unicast(
-            hub_arrival + self.hub_delay, n_flits, self._local_index[pkt.dst]
+            hub_arrival + self.hub_delay, n_flits, self._local_index[dst]
         )
-        return [(pkt.dst, arrival)]
+        return [(dst, arrival)]
 
     # ------------------------------------------------------------------
     def _deliver_clusters(

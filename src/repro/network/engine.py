@@ -135,8 +135,9 @@ class Network(ABC):
                 f"t={self._last_send_time}"
             )
         self._last_send_time = pkt.time
-        n_flits = self._n_flits_cache.get(pkt.size_bits)
-        if n_flits is None:
+        try:
+            n_flits = self._n_flits_cache[pkt.size_bits]
+        except KeyError:
             n_flits = self._n_flits_cache[pkt.size_bits] = pkt.n_flits(
                 self.flit_bits
             )

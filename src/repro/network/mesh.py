@@ -43,12 +43,14 @@ class _MeshBase(Network):
     ) -> None:
         super().__init__(topology, flit_bits)
         self.timing = timing if timing is not None else MeshTiming()
+        # MeshTiming is frozen; the per-hop sum is read on every hop.
+        self._hop_latency = self.timing.hop_latency
         self._n_cores = topology.n_cores
         # Flat port-state arrays: entry core*4 + direction is the output
         # port of that core's router facing that neighbour.  ``_free_at``
         # is the cycle the port next becomes free; ``_busy`` accumulates
-        # occupied cycles (kept for symmetry with PortResource, though
-        # nothing reads it back for the mesh ports today).
+        # occupied cycles, which the sanitizer's end-of-run port audit
+        # reads back (and its double-reserve fault injector corrupts).
         self._free_at: list[int] = [0] * (topology.n_cores * 4)
         self._busy: list[int] = [0] * (topology.n_cores * 4)
         # Which port indices have been referenced by a route (the old
@@ -58,12 +60,6 @@ class _MeshBase(Network):
         # order.  Repeated sends between the same pair then reduce to a
         # walk over two flat arrays -- no coordinate math.
         self._route_ports: dict[int, tuple[int, ...]] = {}
-
-    def _port_at(self, u: int, d: int) -> int:
-        """Index of output port ``d`` of router ``u``."""
-        idx = u * 4 + d
-        self._port_seen[idx] = 1
-        return idx
 
     def _port(self, u: int, v: int) -> int:
         """Index of the output port of router ``u`` facing neighbour ``v``."""
@@ -78,30 +74,37 @@ class _MeshBase(Network):
             d = _NORTH
         else:
             raise ValueError(f"cores {u} and {v} are not mesh neighbours")
-        return self._port_at(u, d)
+        idx = u * 4 + d
+        self._port_seen[idx] = 1
+        return idx
 
     def _route_ports_for(self, src: int, dst: int) -> tuple[int, ...]:
         """Port indices along the XY route src -> dst, in hop order."""
         w = self.topology.width
         x, y = src % w, src // w
         dx, dy = dst % w, dst // w
-        ports: list[int] = []
-        u = src
-        if x != dx:
-            step, d = (1, _EAST) if dx > x else (-1, _WEST)
-            while x != dx:
-                ports.append(self._port_at(u, d))
-                x += step
-                u += step
-        if y != dy:
-            d = _SOUTH if dy > y else _NORTH
-            step = 1 if dy > y else -1
-            ustep = w if dy > y else -w
-            while y != dy:
-                ports.append(self._port_at(u, d))
-                y += step
-                u += ustep
-        return tuple(ports)
+        # Output port u*4+d of every router u the packet leaves: along
+        # the row to the turn router, then along the column to dst.
+        turn = src + (dx - x)
+        xd, xstep = (_EAST, 4) if dx > x else (_WEST, -4)
+        yd, ystep = (_SOUTH, 4 * w) if dy > y else (_NORTH, -4 * w)
+        route = (
+            *range(src * 4 + xd, turn * 4 + xd, xstep),
+            *range(turn * 4 + yd, dst * 4 + yd, ystep),
+        )
+        seen = self._port_seen
+        for idx in route:
+            seen[idx] = 1
+        return route
+
+    def _route(self, src: int, dst: int) -> tuple[int, ...]:
+        """The memoized XY route src -> dst (for cold paths; _traverse
+        inlines the lookup)."""
+        key = src * self._n_cores + dst
+        route = self._route_ports.get(key)
+        if route is None:
+            route = self._route_ports[key] = self._route_ports_for(src, dst)
+        return route
 
     def _traverse(self, src: int, dst: int, t: int, n_flits: int) -> int:
         """Route one packet src->dst starting at time t; returns arrival.
@@ -113,16 +116,18 @@ class _MeshBase(Network):
         and attribute overhead dominated it.
         """
         key = src * self._n_cores + dst
-        route = self._route_ports.get(key)
-        if route is None:
-            route = self._route_ports[key] = self._route_ports_for(src, dst)
+        route_ports = self._route_ports
+        if key in route_ports:
+            route = route_ports[key]
+        else:
+            route = route_ports[key] = self._route_ports_for(src, dst)
         hops = len(route)
         s = self.stats
         s.router_flit_traversals += n_flits * (hops + 1)  # incl. ejection router
         s.link_flit_traversals += n_flits * hops
         s.router_arbitrations += hops + 1
         head = t
-        hop_latency = self.timing.hop_latency
+        hop_latency = self._hop_latency
         free_at = self._free_at
         busy = self._busy
         for i in route:
@@ -161,15 +166,10 @@ class EMeshPure(_MeshBase):
     def _bcast_plan_for(self, src: int) -> tuple:
         routes = []
         total_hops = 0
-        route_cache = self._route_ports
-        n = self._n_cores
-        for dst in range(n):
+        for dst in range(self._n_cores):
             if dst == src:
                 continue
-            key = src * n + dst
-            route = route_cache.get(key)
-            if route is None:
-                route = route_cache[key] = self._route_ports_for(src, dst)
+            route = self._route(src, dst)
             routes.append((dst, route))
             total_hops += len(route)
         return tuple(routes), total_hops
@@ -191,7 +191,7 @@ class EMeshPure(_MeshBase):
         s.link_flit_traversals += n_flits * total_hops
         s.router_arbitrations += total_hops + n_dsts
         t = pkt.time
-        hop_latency = self.timing.hop_latency
+        hop_latency = self._hop_latency
         free_at = self._free_at
         busy = self._busy
         deliveries = []
@@ -273,7 +273,7 @@ class EMeshBCast(_MeshBase):
         s.router_flit_traversals += n_flits * (n_edges + 1)  # + source router
         s.link_flit_traversals += n_flits * n_edges
         s.router_arbitrations += n_edges + 1
-        hop_latency = self.timing.hop_latency
+        hop_latency = self._hop_latency
         free_at = self._free_at
         busy = self._busy
         heads = [0] * (n_edges + 1)

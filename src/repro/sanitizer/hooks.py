@@ -2,9 +2,11 @@
 
 Everything here exists only inside a sanitized system: an unsanitized
 :class:`~repro.sim.system.ManycoreSystem` never constructs these
-objects, so the sanitizer's cost is strictly zero when disabled (the
-perf harness' ``--check`` gate holds this to <1.1x of the recorded
-baseline).
+objects, so the sanitizer's cost is strictly zero when disabled.  That
+unsanitized path is what ``repro bench`` times (it passes
+``sanitize=False``); its ``--check`` flags only slowdowns beyond
+``--max-regression`` (default 1.5x) against the newest committed record,
+so it guards against gross regressions, not small ones.
 
 * :class:`SanitizedEventQueue` -- drop-in :class:`EventQueue` that
   keeps a ring buffer of dispatched events, enforces monotonic

@@ -64,6 +64,15 @@ class SystemConfig:
             raise ValueError(f"bad receive_net {self.receive_net!r}")
         if self.flit_bits <= 0:
             raise ValueError("flit_bits must be positive")
+        if self.cluster_width >= 1:  # else MeshTopology rejects it
+            n_clusters = (self.mesh_width // self.cluster_width) ** 2
+            if n_clusters < descriptor.min_clusters:
+                raise ValueError(
+                    f"network {self.network!r} needs min_clusters="
+                    f"{descriptor.min_clusters}, but a {self.mesh_width}x"
+                    f"{self.mesh_width} mesh of {self.cluster_width}x"
+                    f"{self.cluster_width} clusters has {n_clusters}"
+                )
 
     @property
     def topology(self) -> MeshTopology:

@@ -17,7 +17,7 @@ is unique, so comparisons never reach the callback and the
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 #: Sentinel distinguishing "no arg" from "arg=None" (None is a valid payload).
@@ -48,8 +48,9 @@ class EventQueue:
             raise ValueError(
                 f"cannot schedule event at t={time}, current time is {self.now}"
             )
-        heapq.heappush(self._heap, (time, self._seq, callback, arg))
-        self._seq += 1
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (time, seq, callback, arg))
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -63,13 +64,13 @@ class EventQueue:
         processed = 0
         heap = self._heap
         no_arg = _NO_ARG
-        heappop = heapq.heappop
+        pop = heappop
         try:
             if max_events is None:
                 # Unbudgeted drain: the common (production) path, with
                 # no per-event budget check.
                 while heap:
-                    time, _, callback, arg = heappop(heap)
+                    time, _, callback, arg = pop(heap)
                     self.now = time
                     if arg is no_arg:
                         callback(time)
@@ -78,7 +79,7 @@ class EventQueue:
                     processed += 1
             else:
                 while heap:
-                    time, _, callback, arg = heappop(heap)
+                    time, _, callback, arg = pop(heap)
                     self.now = time
                     if arg is no_arg:
                         callback(time)

@@ -16,7 +16,7 @@ from dataclasses import fields
 from repro.coherence.directory import DirectoryController, Protocol
 from repro.coherence.l2controller import CacheCounters, L2Controller
 from repro.coherence.memory import MemoryController, MemoryTiming
-from repro.coherence.messages import CoherenceMsg, MsgType
+from repro.coherence.messages import MSG_BITS, CoherenceMsg, MsgType
 from repro.coherence.sequencing import DirectorySequencer
 from repro.network.atac import AtacNetwork
 from repro.network.types import BROADCAST, Packet
@@ -27,13 +27,20 @@ from repro.sim.eventq import EventQueue
 from repro.sim.results import RunResult
 from repro.workloads.trace import CoreTrace
 
-#: Message-type partitions for handler dispatch (set membership beats a
-#: linear scan of a 9-tuple on every unicast delivery).
+#: Which controller receives each message type.  Every type is listed
+#: exactly once, so the per-type receiver table built from this covers
+#: the whole vocabulary (``tests/sim/test_system.py`` checks that): a
+#: new message type fails there instead of being routed by default.
 _MEMCTRL_TYPES = frozenset((MsgType.MEM_READ, MsgType.MEM_WRITE))
 _DIRECTORY_TYPES = frozenset((
     MsgType.SH_REQ, MsgType.EX_REQ, MsgType.EVICT_NOTIFY,
     MsgType.DIRTY_WB, MsgType.INV_ACK, MsgType.FLUSH_REP,
     MsgType.WB_REP, MsgType.MEM_DATA, MsgType.MEM_WRITE_ACK,
+))
+_L2_TYPES = frozenset((
+    MsgType.INV_REQ, MsgType.INV_BCAST, MsgType.FLUSH_REQ, MsgType.WB_REQ,
+    MsgType.FWD_REQ, MsgType.FWD_DATA, MsgType.SH_REP, MsgType.EX_REP,
+    MsgType.WB_ACK,
 ))
 
 
@@ -135,6 +142,16 @@ class ManycoreSystem:
                 slice_id=topo.cluster_of(core),
                 dir_latency=config.dir_latency,
             )
+        #: message type -> {core: controller}: the receiver of every
+        #: unicast, resolved by one indexed lookup per delivery.
+        self._receivers: dict[MsgType, dict] = {}
+        for receivers, types in (
+            (self.memctrls, _MEMCTRL_TYPES),
+            (self.directories, _DIRECTORY_TYPES),
+            (self.caches, _L2_TYPES),
+        ):
+            for mt in types:
+                self._receivers[mt] = receivers
         self.cores: dict[int, CoreModel] = {}
         self.barriers: BarrierManager | None = None
         # Reused injection packet (see _inject).
@@ -215,12 +232,15 @@ class ManycoreSystem:
         # runs once per protocol message, so the per-message dataclass
         # construction (and its validation) was pure overhead.
         pkt = self._pkt
+        mt = msg.mtype
         pkt.src = msg.sender
-        pkt.size_bits = msg.size_bits
+        pkt.size_bits = MSG_BITS[mt]
         pkt.time = now
-        if msg.mtype is MsgType.INV_BCAST:
+        if mt is MsgType.INV_BCAST:
             pkt.dst = BROADCAST
             deliveries = self.network.send(pkt)
+            compute = self._compute_set
+            schedule = self.eventq.schedule
             if self.batch_broadcasts:
                 # Batched fan-out: one heap event per distinct arrival
                 # time instead of one per core.  Within one arrival the
@@ -229,36 +249,37 @@ class ManycoreSystem:
                 # process them, since all per-core events are scheduled
                 # consecutively here (their seqs are contiguous, so no
                 # foreign event can interleave; see DESIGN.md sec. 9).
-                compute = self._compute_set
-                schedule = self.eventq.schedule
+                # Deliveries come in runs of equal arrival (a cluster at
+                # a time), so the group is looked up once per run.
                 groups: dict[int, list[int]] = {}
+                last = None
                 for core, arrival in deliveries:
                     if core in compute:
-                        group = groups.get(arrival)
-                        if group is None:
-                            groups[arrival] = [core]
-                        else:
-                            group.append(core)
+                        if arrival != last:
+                            last = arrival
+                            if arrival in groups:
+                                group = groups[arrival]
+                            else:
+                                group = groups[arrival] = []
+                        group.append(core)
                 deliver = self._deliver_broadcast_group
                 for arrival, cores in groups.items():
                     schedule(arrival, deliver, (msg, cores))
             else:
+                caches = self.caches
                 for core, arrival in deliveries:
-                    if core in self._compute_set:
-                        self.eventq.schedule(
-                            arrival, self.caches[core].handle, msg
-                        )
+                    if core in compute:
+                        schedule(arrival, caches[core].handle, msg)
             # Local loopback: the home's own L2 must also see the
             # invalidation (the network never delivers to the sender).
-            if msg.sender in self._compute_set:
-                self.eventq.schedule(
-                    now + 1, self.caches[msg.sender].handle, msg
-                )
+            if msg.sender in compute:
+                schedule(now + 1, self.caches[msg.sender].handle, msg)
             return
         pkt.dst = msg.dest
         [(core, arrival)] = self.network.send(pkt)
-        handler = self._handler_for(core, msg)
-        self.eventq.schedule(arrival, handler.handle, msg)
+        # .handle is looked up per delivery, not pre-bound in the table:
+        # tests replace it on the instance to lose or delay messages.
+        self.eventq.schedule(arrival, self._receivers[mt][core].handle, msg)
 
     def _deliver_broadcast_group(
         self, batch: tuple[CoherenceMsg, list[int]], now: int
@@ -267,16 +288,9 @@ class ManycoreSystem:
         group, inline, in delivery order."""
         msg, cores = batch
         caches = self.caches
+        slice_id = self._slice_of_core[msg.sender]
         for core in cores:
-            caches[core].handle_broadcast(msg, now)
-
-    def _handler_for(self, core: int, msg: CoherenceMsg):
-        mt = msg.mtype
-        if mt in _MEMCTRL_TYPES:
-            return self.memctrls[core]
-        if mt in _DIRECTORY_TYPES:
-            return self.directories[core]
-        return self.caches[core]
+            caches[core].handle_broadcast(msg, slice_id, now)
 
     # ------------------------------------------------------------------
     # Running workloads

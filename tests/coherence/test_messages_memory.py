@@ -7,6 +7,7 @@ from repro.coherence.messages import (
     CONTROL_MSG_BITS,
     DATA_BEARING,
     DATA_MSG_BITS,
+    MSG_BITS,
     CoherenceMsg,
     MsgType,
 )
@@ -49,6 +50,14 @@ class TestMessageSizes:
         assert req.size_bits == CONTROL_MSG_BITS
         for mt in DATA_BEARING:
             assert CoherenceMsg(mt, 1, 0, 1).size_bits == DATA_MSG_BITS
+
+    @pytest.mark.parametrize("mt", list(MsgType), ids=lambda mt: mt.name)
+    def test_size_table_follows_data_bearing(self, mt):
+        """The injection path's per-type size table is the DATA_BEARING
+        rule, for every message type."""
+        want = DATA_MSG_BITS if mt in DATA_BEARING else CONTROL_MSG_BITS
+        assert MSG_BITS[mt] == want
+        assert CoherenceMsg(mt, 1, 0, 1).size_bits == want
 
     def test_only_inv_bcast_is_broadcast(self):
         assert CoherenceMsg(MsgType.INV_BCAST, 1, 0, -1).is_broadcast

@@ -5,7 +5,9 @@ import pytest
 from repro.network.atac import AtacNetwork
 from repro.network.cluster_nets import ReceiveNetwork
 from repro.network.onet import AdaptiveSWMRLink, LaserMode, OnetTiming
-from repro.network.routing import ClusterRouting, DistanceRouting, distance_all
+from repro.network.routing import (
+    AdaptiveDistanceRouting, ClusterRouting, DistanceRouting, distance_all,
+)
 from repro.network.stats import NetworkStats
 from repro.network.topology import MeshTopology
 from repro.network.types import BROADCAST, Packet, control_packet
@@ -168,6 +170,21 @@ class TestAtacRouting:
             net = AtacNetwork(topo, routing=routing)
             net.send(Packet(src=0, dst=BROADCAST, size_bits=88))
             assert net.stats.onet_broadcasts == 1
+
+    def test_adaptive_policy_is_consulted_on_every_send(self, topo):
+        """Adaptive routing is never memoized: a moved threshold
+        re-routes the very next packet of the same pair."""
+        adaptive = AdaptiveDistanceRouting(rthres_min=5, rthres_max=25,
+                                           rthres=25)
+        net = AtacNetwork(topo, routing=adaptive)
+        net.send(control_packet(0, 63))  # 14 hops < 25: electrical
+        assert net.stats.onet_unicasts == 0
+        adaptive.rthres = 5
+        net.send(control_packet(0, 63, time=100))  # now past rthres
+        assert net.stats.onet_unicasts == 1
+        adaptive.rthres = 25
+        net.send(control_packet(0, 63, time=200))
+        assert net.stats.onet_unicasts == 1
 
     def test_routing_names(self, topo):
         assert ClusterRouting().name == "Cluster"

@@ -103,6 +103,38 @@ class TestRegistryContract:
         assert networks_for_fuzzing(8) == network_names()
 
 
+class TestCapabilitiesEnforcedAtConstruction:
+    """A spec that constructs must run: a network's declared
+    capabilities are checked when the config is built, not deep inside
+    its constructor."""
+
+    @pytest.mark.parametrize("name", network_names())
+    def test_mesh_width_4_rejected_or_runs(self, name):
+        # a 4x4 mesh of 4x4 clusters is a single cluster
+        try:
+            spec = RunSpec(app="barnes", network=name, mesh_width=4,
+                           scale=0.02)
+        except ValueError as exc:
+            text = str(exc)
+            assert repr(name) in text
+            assert "min_clusters" in text
+            assert text.endswith("has 1")
+            assert get_network(name).min_clusters > 1
+            return
+        assert spec.execute().completion_cycles > 0
+
+    @pytest.mark.parametrize("name", network_names())
+    def test_config_enforces_min_clusters(self, name):
+        descriptor = get_network(name)
+        if descriptor.min_clusters <= 1:
+            SystemConfig(network=name).scaled(4)
+        else:
+            with pytest.raises(ValueError, match="min_clusters"):
+                SystemConfig(network=name).scaled(4)
+        # 2x2 clusters satisfy every registered network
+        SystemConfig(network=name).scaled(4, cluster_width=2)
+
+
 class TestEveryDescriptorEndToEnd:
     @pytest.fixture(scope="class")
     def results(self):

@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.coherence.directory import Protocol
+from repro.coherence.directory import DirectoryController, Protocol
+from repro.coherence.l2controller import L2Controller
+from repro.coherence.memory import MemoryController
+from repro.coherence.messages import MsgType
 from repro.sim.config import NETWORK_CHOICES, SystemConfig, make_network
 from repro.sim.system import ManycoreSystem
 from repro.workloads.trace import BarrierOp, ComputeOp, CoreTrace, MemoryOp
@@ -50,6 +53,46 @@ class TestConfig:
         net = make_network(cfg)
         assert net.receive_net_kind == "bnet"
         assert isinstance(net.routing, ClusterRouting)
+
+
+class TestReceiverTable:
+    """Every message type is delivered to the controller kind that
+    handles it; the expectation is spelled out here, independently of
+    the table, so a new type must be classified in both places."""
+
+    EXPECTED = {
+        "memory": {MsgType.MEM_READ, MsgType.MEM_WRITE},
+        "directory": {
+            MsgType.SH_REQ, MsgType.EX_REQ, MsgType.EVICT_NOTIFY,
+            MsgType.DIRTY_WB, MsgType.INV_ACK, MsgType.FLUSH_REP,
+            MsgType.WB_REP, MsgType.MEM_DATA, MsgType.MEM_WRITE_ACK,
+        },
+        "l2": {
+            MsgType.INV_REQ, MsgType.INV_BCAST, MsgType.FLUSH_REQ,
+            MsgType.WB_REQ, MsgType.FWD_REQ, MsgType.FWD_DATA,
+            MsgType.SH_REP, MsgType.EX_REP, MsgType.WB_ACK,
+        },
+    }
+
+    def test_expectation_covers_every_type_once(self):
+        kinds = list(self.EXPECTED.values())
+        assert set().union(*kinds) == set(MsgType)
+        assert sum(len(k) for k in kinds) == len(MsgType)
+
+    @pytest.mark.parametrize("mt", list(MsgType), ids=lambda mt: mt.name)
+    def test_type_routes_to_its_controller(self, mt):
+        s = ManycoreSystem(small_config(), sanitize=False, telemetry=False)
+        kind = next(k for k, types in self.EXPECTED.items() if mt in types)
+        cls, cores = {
+            "memory": (MemoryController, s.memctrl_positions),
+            "directory": (DirectoryController, s.compute_cores),
+            "l2": (L2Controller, s.compute_cores),
+        }[kind]
+        receivers = s._receivers[mt]
+        assert sorted(receivers) == sorted(cores)
+        for core, controller in receivers.items():
+            assert type(controller) is cls
+            assert controller.core == core
 
 
 class TestExecution:
