@@ -24,4 +24,13 @@ The package is organized bottom-up, mirroring the paper's stack:
 * :mod:`repro.experiments` -- one driver per paper table/figure.
 """
 
+import os
+
 __version__ = "1.0.0"
+
+
+def env_flag(name: str) -> bool:
+    """Whether environment variable ``name`` is ``1``/``true``/``on``
+    (any case); read at call time.  The one parser of the boolean
+    ``REPRO_SANITIZE`` / ``REPRO_TELEMETRY`` switches."""
+    return os.environ.get(name, "").lower() in ("1", "true", "on")

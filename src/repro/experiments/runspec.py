@@ -26,7 +26,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
 
-from repro import __version__
+from repro import __version__, env_flag
 from repro.coherence.directory import Protocol
 from repro.network.registry import get_network
 from repro.sim.config import SystemConfig
@@ -38,13 +38,6 @@ from repro.workloads.synthetic import LoadSweepPoint
 #: of every content hash, so old ``.repro_cache/`` entries are ignored
 #: rather than deserialized into mismatched dataclasses.
 CACHE_SCHEMA_VERSION = 5
-
-
-def _env_telemetry() -> bool:
-    """``REPRO_TELEMETRY`` without importing the telemetry package."""
-    import os
-
-    return os.environ.get("REPRO_TELEMETRY", "0").lower() in ("1", "true", "on")
 
 
 def _digest(kind: str, payload: dict) -> str:
@@ -157,7 +150,7 @@ class RunSpec:
         from repro.workloads.splash import APP_PROFILES, generate_traces
 
         telemetry = False
-        if self.telemetry or _env_telemetry():
+        if self.telemetry or env_flag("REPRO_TELEMETRY"):
             # Resolve the environment knob *here* rather than deferring
             # to ManycoreSystem so env-requested telemetry still lands
             # in the telemetry root (a bare default TelemetryConfig

@@ -55,7 +55,6 @@ from repro.network.registry import (
     register,
 )
 from repro.network.analytic import AnalyticModel
-from repro.network.queueing import AnalyticMesh
 
 __all__ = [
     "Packet",
@@ -88,5 +87,4 @@ __all__ = [
     "receive_net_kind",
     "register",
     "AnalyticModel",
-    "AnalyticMesh",
 ]

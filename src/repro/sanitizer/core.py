@@ -1,8 +1,8 @@
 """The cross-layer runtime sanitizer.
 
-One :class:`Sanitizer` attaches to one :class:`ManycoreSystem` at
-construction time (``ManycoreSystem(config, sanitize=True)``) and
-checks invariants *while the simulation runs*:
+One :class:`Sanitizer` is a probe of one :class:`ManycoreSystem`,
+attached at construction time (``ManycoreSystem(config,
+sanitize=True)``), and checks invariants *while the simulation runs*:
 
 ================== ====================================================
 invariant           meaning
@@ -49,7 +49,10 @@ accounting``        per-component energies sum to each reported total
 
 The sanitizer costs roughly 2-3x simulation wall-clock when enabled
 and exactly nothing when disabled: an unsanitized system never
-constructs, calls, or branches on any of this (see hooks.py).
+constructs, calls, or branches on any of this.  Its probe hooks
+(``on_send``, ``on_net_send``, ``on_run_end``, ``on_run_error``) are
+called by the system; its event queue and cache proxies (hooks.py) are
+installed by the system next to them.
 """
 
 from __future__ import annotations
@@ -61,9 +64,6 @@ from repro.coherence.directory import Protocol
 from repro.coherence.messages import CoherenceMsg, MsgType
 from repro.coherence.sequencing import SEQ_MOD
 from repro.network.types import BROADCAST
-from repro.sanitizer.hooks import (
-    L1CacheProxy, L2CacheProxy, SanitizedEventQueue,
-)
 from repro.sanitizer.invariants import (
     directory_line_problem, energy_problems, port_problems, result_problems,
 )
@@ -80,7 +80,9 @@ _RING_DEPTH = 10
 
 
 class Sanitizer:
-    """Attached per-system invariant checker (see module docstring)."""
+    """Per-system invariant checker probe (see module docstring)."""
+
+    kind = "sanitizer"
 
     def __init__(self, system) -> None:
         self.system = system
@@ -106,26 +108,6 @@ class Sanitizer:
         self._all_cores = frozenset(range(self._n_cores))
         self._inject_func = type(system)._inject
         self._deliver_func = type(system)._deliver_broadcast_group
-        self._orig_run = None
-        self._orig_send_msg = None
-        self._orig_net_send = None
-
-    # ------------------------------------------------------------------
-    def attach(self) -> None:
-        """Install every hook on the owning system (idempotence not
-        needed: called exactly once, from ``ManycoreSystem.__init__``)."""
-        system = self.system
-        self._orig_run = system.run
-        self._orig_send_msg = system.send_msg
-        self._orig_net_send = system.network.send
-        system.eventq = SanitizedEventQueue(self)
-        system.send_msg = self._send_msg
-        system.network.send = self._net_send
-        for core, ctrl in system.caches.items():
-            inner_l2 = ctrl.l2
-            ctrl.l2 = L2CacheProxy(inner_l2, self, core)
-            ctrl.l1d = L1CacheProxy(ctrl.l1d, self, core, inner_l2)
-        system.run = self._run
 
     # ------------------------------------------------------------------
     # Violation plumbing
@@ -214,9 +196,9 @@ class Sanitizer:
             table[addr] = n
 
     # ------------------------------------------------------------------
-    # send_msg hook (fabric level)
+    # Probe hook: protocol message sent
     # ------------------------------------------------------------------
-    def _send_msg(self, msg: CoherenceMsg, time: int) -> None:
+    def on_send(self, msg: CoherenceMsg, time: int) -> None:
         mt = msg.mtype
         if mt is MsgType.SH_REQ or mt is MsgType.EX_REQ:
             self._open_txn[msg.address] = self._open_txn.get(msg.address, 0) + 1
@@ -224,7 +206,6 @@ class Sanitizer:
             self._wb_open[msg.address] = self._wb_open.get(msg.address, 0) + 1
         elif mt is MsgType.INV_BCAST:
             self._check_broadcast_send(msg)
-        self._orig_send_msg(msg, time)
 
     def _check_broadcast_send(self, msg: CoherenceMsg) -> None:
         system = self.system
@@ -275,13 +256,12 @@ class Sanitizer:
                 )
 
     # ------------------------------------------------------------------
-    # network.send hook
+    # Probe hook: packet sent
     # ------------------------------------------------------------------
-    def _net_send(self, pkt):
+    def on_net_send(self, pkt, deliveries) -> None:
         t = pkt.time
         src = pkt.src
         dst = pkt.dst
-        deliveries = self._orig_net_send(pkt)
         n_flits = self.system.network._n_flits_cache[pkt.size_bits]
         sh = self._shadow
         sh["packets_sent"] += 1
@@ -341,7 +321,6 @@ class Sanitizer:
                     details={"src": src, "dst": dst,
                              "arrival": deliveries[0][1]},
                 )
-        return deliveries
 
     # ------------------------------------------------------------------
     # Cache-proxy hooks: continuous SWMR over the holder index
@@ -411,33 +390,24 @@ class Sanitizer:
             )
 
     # ------------------------------------------------------------------
-    # Run wrapper + end-of-run checks
+    # Probe hooks: run failure + end-of-run checks
     # ------------------------------------------------------------------
-    def _run(self, traces, app: str = "workload",
-             max_events: int | None = None):
-        try:
-            result = self._orig_run(traces, app=app, max_events=max_events)
-        except InvariantViolation:
-            raise
-        except RuntimeError as exc:
-            text = str(exc)
-            if text.startswith("deadlock"):
-                kind = "deadlock"
-            elif text.startswith("event budget exceeded"):
-                kind = "livelock"
-            else:
-                raise
-            raise InvariantViolation(
-                kind, text,
-                time=self.system.eventq.now,
-                details=self._stuck_details(),
-                events=tuple(
-                    describe_event(t, cb, a) for t, cb, a in self._ring
-                ),
-                telemetry=self._telemetry_context(),
-            ) from exc
-        self.check_end_of_run(result)
-        return result
+    def on_run_error(self, exc: RuntimeError) -> None:
+        """Re-raise a deadlock or livelock as a structured violation."""
+        text = str(exc)
+        if text.startswith("deadlock"):
+            kind = "deadlock"
+        elif text.startswith("event budget exceeded"):
+            kind = "livelock"
+        else:
+            return
+        raise InvariantViolation(
+            kind, text,
+            time=self.system.eventq.now,
+            details=self._stuck_details(),
+            events=tuple(describe_event(t, cb, a) for t, cb, a in self._ring),
+            telemetry=self._telemetry_context(),
+        ) from exc
 
     def _stuck_details(self) -> dict:
         system = self.system
@@ -462,7 +432,7 @@ class Sanitizer:
             "messages_in_flight": sum(self._inflight.values()),
         }
 
-    def check_end_of_run(self, result) -> None:
+    def on_run_end(self, result) -> None:
         system = self.system
         if self._inflight:
             self.violation(

@@ -10,9 +10,16 @@ real classes of bugs -- the fuzzer's ``--inject`` mode and
 Every injector returns a small state dict whose ``"fired"`` entry
 records whether the fault actually triggered during the run; a fuzz
 case where the fault never fires is simply uninteresting, not a miss.
+
+Fabric faults (drop-ack, double-reserve on a mesh) are probes of kind
+``"fault"``.  stale-sharer instead wraps each directory's
+``_add_sharer``: it models a bit flip in a sharer vector, not a fabric
+event, and no probe hook sees the nth sharer add that it corrupts.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 from repro.coherence.messages import CoherenceMsg, MsgType
 from repro.network.engine import PortResource
@@ -24,12 +31,17 @@ FAULTS = ("drop-ack", "stale-sharer", "double-reserve")
 def inject_fault(system, fault: str, nth: int = 1) -> dict:
     """Arm ``fault`` on ``system``; returns its mutable state dict.
 
-    Must be called after construction (and after the sanitizer attach,
-    which happens inside ``ManycoreSystem.__init__``) and before
-    ``run()``.  ``nth`` selects which opportunity triggers (1-based).
+    ``system`` must be built with ``sanitize=True`` -- nothing else
+    audits the fault -- and not yet run.  ``nth`` selects which
+    opportunity triggers (1-based).
     """
     if nth < 1:
         raise ValueError(f"nth must be >= 1, got {nth}")
+    if system.sanitizer is None:
+        raise ValueError(
+            f"inject_fault({fault!r}) needs a system built with "
+            "sanitize=True: without the sanitizer nothing reports the fault"
+        )
     if fault == "drop-ack":
         return _drop_ack(system, nth)
     if fault == "stale-sharer":
@@ -48,17 +60,16 @@ def _drop_ack(system, nth: int) -> dict:
     with the stuck transaction's state attached.
     """
     state = {"fault": "drop-ack", "seen": 0, "fired": False}
-    orig = system.send_msg
 
-    def send_msg(msg: CoherenceMsg, time: int) -> None:
+    def on_send(msg: CoherenceMsg, time: int) -> bool:
         if msg.mtype is MsgType.INV_ACK and not state["fired"]:
             state["seen"] += 1
             if state["seen"] == nth:
                 state["fired"] = True
-                return  # dropped on the wire
-        orig(msg, time)
+                return True  # dropped on the wire
+        return False
 
-    system.send_msg = send_msg
+    system.add_probe(SimpleNamespace(kind="fault", on_send=on_send))
     return state
 
 
@@ -76,10 +87,8 @@ def _stale_sharer(system, nth: int) -> dict:
     compute = system.compute_cores
 
     for directory in system.directories.values():
-        orig = directory._add_sharer
-
-        def _add_sharer(entry, core, _orig=orig):
-            _orig(entry, core)
+        def _add_sharer(entry, core, add=directory._add_sharer):
+            add(entry, core)
             if state["fired"] or entry.global_bit:
                 return
             state["seen"] += 1
@@ -131,14 +140,11 @@ def _double_reserve(system) -> dict:
     else:
         # The meshes keep flat counter arrays, not port objects, so the
         # equivalent corruption is applied at the send boundary: the
-        # first packet's span is credited to port 0 twice.
-        orig = network.send
-
-        def send(pkt):
+        # first packet credits port 0 with a span it never reserved.
+        def on_net_send(pkt, deliveries) -> None:
             if not state["fired"]:
                 state["fired"] = True
                 network._busy[0] += 1_000_000
-            return orig(pkt)
 
-        network.send = send
+        system.add_probe(SimpleNamespace(kind="fault", on_net_send=on_net_send))
     return state

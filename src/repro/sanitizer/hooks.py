@@ -1,12 +1,13 @@
-"""Instrumentation shims installed by the sanitizer.
+"""Object replacements that only the sanitizer uses.
 
-Everything here exists only inside a sanitized system: an unsanitized
-:class:`~repro.sim.system.ManycoreSystem` never constructs these
-objects, so the sanitizer's cost is strictly zero when disabled.  That
-unsanitized path is what ``repro bench`` times (it passes
-``sanitize=False``); its ``--check`` flags only slowdowns beyond
-``--max-regression`` (default 1.5x) against the newest committed record,
-so it guards against gross regressions, not small ones.
+The sanitizer observes the fabric through the probe hooks that
+``ManycoreSystem`` calls on every probe (``on_send``, ``on_net_send``,
+``on_run_end``, ``on_run_error``; DESIGN.md section 10).  Events and
+cache state changes have no probe hook -- no other probe needs one --
+so for those ``ManycoreSystem.__init__`` swaps in the objects below,
+in the same place it selects the instrumented fabric.  An unsanitized
+system never constructs them, so the sanitizer's cost is strictly zero
+when disabled.
 
 * :class:`SanitizedEventQueue` -- drop-in :class:`EventQueue` that
   keeps a ring buffer of dispatched events, enforces monotonic

@@ -10,9 +10,9 @@ uses, with the network as the serialization point.
 
 from __future__ import annotations
 
-import os
 from dataclasses import fields
 
+from repro import env_flag
 from repro.coherence.directory import DirectoryController, Protocol
 from repro.coherence.l2controller import CacheCounters, L2Controller
 from repro.coherence.memory import MemoryController, MemoryTiming
@@ -43,6 +43,18 @@ _L2_TYPES = frozenset((
     MsgType.WB_ACK,
 ))
 
+#: Probe kinds in the order their hooks run, outermost first.  A probe
+#: has a ``kind`` and any of these hooks (DESIGN.md section 10):
+#: ``on_send(msg, time)`` before a message is queued (a true return
+#: drops it), ``on_net_send(pkt, deliveries)`` after the network
+#: scheduled a packet, ``on_barrier(barrier_id, now, released)``,
+#: ``on_run_start()``, ``on_run_end(result)``, and ``on_run_error(exc)``
+#: on a deadlock/livelock ``RuntimeError`` (it may raise a replacement).
+#: So a fault probe drops a message before anything observes it, and
+#: the telemetry closes its last window before the sanitizer's
+#: end-of-run audit can raise.  Only ``on_net_send`` runs in reverse.
+PROBE_ORDER = ("fault", "telemetry", "sanitizer")
+
 
 class ManycoreSystem:
     """One configured chip, ready to run one workload.
@@ -69,8 +81,12 @@ class ManycoreSystem:
     Accepts ``True``/``False``, a
     :class:`~repro.telemetry.collector.TelemetryConfig` (to control the
     window length and output directory), or ``None`` to defer to the
-    ``REPRO_TELEMETRY`` environment variable.  Like the sanitizer it
-    costs exactly nothing -- not even an import -- when off.
+    ``REPRO_TELEMETRY`` environment variable.
+
+    Both are *probes*, kept in :attr:`probes` in :data:`PROBE_ORDER`.
+    The instrumented fabric is selected once, here: a system without
+    probes runs the plain ``send_msg`` -> ``_inject`` -> ``Network.send``
+    path and pays nothing -- not even an import -- for instrumentation.
     """
 
     def __init__(self, config: SystemConfig, batch_broadcasts: bool = True,
@@ -157,30 +173,33 @@ class ManycoreSystem:
         # Reused injection packet (see _inject).
         self._pkt = Packet(src=0, dst=0, size_bits=1, time=0)
 
-        if sanitize is None:
-            sanitize = os.environ.get(
-                "REPRO_SANITIZE", "0"
-            ).lower() in ("1", "true", "on")
-        self.sanitize = sanitize
-        self.sanitizer = None
-        if sanitize:
-            # Imported only when enabled: the sanitizer costs nothing --
-            # not even an import -- on unsanitized runs.
-            from repro.sanitizer.core import Sanitizer
-
-            self.sanitizer = Sanitizer(self)
-            self.sanitizer.attach()
-
+        self.sanitize = (
+            env_flag("REPRO_SANITIZE") if sanitize is None else sanitize
+        )
         if telemetry is None:
-            telemetry = os.environ.get(
-                "REPRO_TELEMETRY", "0"
-            ).lower() in ("1", "true", "on")
+            telemetry = env_flag("REPRO_TELEMETRY")
+        self.probes: list = []
+        self.sanitizer = None
         self.telemetry = None
+        # Imported only when enabled: the instrumentation costs nothing
+        # -- not even an import -- on a plain run.
+        if self.sanitize:
+            from repro.sanitizer.core import Sanitizer
+            from repro.sanitizer.hooks import (
+                L1CacheProxy, L2CacheProxy, SanitizedEventQueue,
+            )
+
+            san = self.sanitizer = Sanitizer(self)
+            # The sanitizer's own object replacements: a checking event
+            # queue and cache proxies that mirror every L1/L2 state
+            # change into its holder index.
+            self.eventq = SanitizedEventQueue(san)
+            for core, ctrl in self.caches.items():
+                l2 = ctrl.l2
+                ctrl.l2 = L2CacheProxy(l2, san, core)
+                ctrl.l1d = L1CacheProxy(ctrl.l1d, san, core, l2)
+            self.probes.append(san)
         if telemetry:
-            # Imported only when enabled (same zero-cost-off contract as
-            # the sanitizer).  Attached *after* the sanitizer so the
-            # telemetry hooks wrap -- and observe -- the sanitized
-            # fabric rather than being audited by it.
             from repro.telemetry.collector import (
                 TelemetryCollector, TelemetryConfig,
             )
@@ -190,7 +209,40 @@ class ManycoreSystem:
                 else TelemetryConfig()
             )
             self.telemetry = TelemetryCollector(self, cfg)
-            self.telemetry.attach()
+            self.probes.append(self.telemetry)
+        if self.probes:
+            # The instrumented fabric: protocol messages and packets
+            # pass the probe hooks on their way through.
+            self._network_send = self.network.send
+            self.network.send = self._probed_network_send
+            self.send_msg = self._probed_send_msg
+            self._order_probes()
+
+    def add_probe(self, probe) -> None:
+        """Attach ``probe`` (a fault injector) before :meth:`run`; only
+        a system built with ``sanitize`` or ``telemetry`` has the
+        instrumented fabric that calls it."""
+        if not self.probes:
+            raise ValueError(
+                "probes need an instrumented system: build it with "
+                "sanitize=True or telemetry"
+            )
+        self.probes.append(probe)
+        self._order_probes()
+
+    def _order_probes(self) -> None:
+        self.probes.sort(key=lambda probe: PROBE_ORDER.index(probe.kind))
+        self._on_send = self._hooks("on_send")
+        # Innermost first, like the after-call half of a wrapper: the
+        # sanitizer audits a packet before the telemetry records it.
+        self._on_net_send = self._hooks("on_net_send")[::-1]
+        self._on_barrier = self._hooks("on_barrier")
+
+    def _hooks(self, name: str) -> tuple:
+        return tuple(
+            getattr(probe, name) for probe in self.probes
+            if hasattr(probe, name)
+        )
 
     # ------------------------------------------------------------------
     # Fabric interface used by the coherence controllers
@@ -225,6 +277,26 @@ class ManycoreSystem:
         eventq = self.eventq
         now = eventq.now
         eventq.schedule(time if time > now else now, self._inject, msg)
+
+    def _probed_send_msg(self, msg: CoherenceMsg, time: int) -> None:
+        for hook in self._on_send:
+            if hook(msg, time):
+                return  # dropped by a fault probe
+        ManycoreSystem.send_msg(self, msg, time)
+
+    def _probed_network_send(self, pkt: Packet) -> list[tuple[int, int]]:
+        deliveries = self._network_send(pkt)
+        for hook in self._on_net_send:
+            hook(pkt, deliveries)
+        return deliveries
+
+    def _probed_arrive(self, barrier_id: int, now: int, resume) -> None:
+        barriers = self.barriers
+        completed = barriers.barriers_completed
+        BarrierManager.arrive(barriers, barrier_id, now, resume)
+        released = barriers.barriers_completed != completed
+        for hook in self._on_barrier:
+            hook(barrier_id, now, released)
 
     def _inject(self, msg: CoherenceMsg, now: int) -> None:
         # One pooled Packet, refilled per injection: Network.send reads
@@ -316,21 +388,25 @@ class ManycoreSystem:
             )
             self.cores[core] = cm
             cm.start()
-        telemetry = self.telemetry
-        if telemetry is not None:
-            # Explicit notification (not a wrapper around run): the
-            # barrier manager and core models only exist from here on.
-            telemetry.on_run_start()
-        self.eventq.run(max_events=max_events)
-        not_done = [c for c, cm in self.cores.items() if not cm.done]
-        if not_done:
-            raise RuntimeError(
-                f"deadlock: {len(not_done)} cores never finished "
-                f"(e.g. core {not_done[0]}); event queue drained"
-            )
+        if self.probes and self._on_barrier:
+            self.barriers.arrive = self._probed_arrive
+        for hook in self._hooks("on_run_start"):
+            hook()
+        try:
+            self.eventq.run(max_events=max_events)
+            not_done = [c for c, cm in self.cores.items() if not cm.done]
+            if not_done:
+                raise RuntimeError(
+                    f"deadlock: {len(not_done)} cores never finished "
+                    f"(e.g. core {not_done[0]}); event queue drained"
+                )
+        except RuntimeError as exc:
+            for hook in self._hooks("on_run_error"):
+                hook(exc)
+            raise
         result = self._collect(app)
-        if telemetry is not None:
-            telemetry.on_run_end(result)
+        for hook in self._hooks("on_run_end"):
+            hook(result)
         return result
 
     def _collect(self, app: str) -> RunResult:

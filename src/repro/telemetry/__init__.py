@@ -34,15 +34,9 @@ __all__ = [
     "TelemetryConfig",
     "TraceBuffer",
     "WINDOW_SCHEMA",
-    "telemetry_requested",
     "telemetry_root",
     "to_perfetto",
 ]
-
-
-def telemetry_requested() -> bool:
-    """Whether ``REPRO_TELEMETRY`` asks for telemetry (call-time read)."""
-    return os.environ.get("REPRO_TELEMETRY", "0").lower() in ("1", "true", "on")
 
 
 def telemetry_root() -> Path:

@@ -1,30 +1,32 @@
 """The telemetry collector: opt-in, zero-cost-when-off instrumentation.
 
-Mirrors the sanitizer's activation pattern (DESIGN.md section 10): a
-collector is constructed only when telemetry is requested
+A collector is a probe of one ``ManycoreSystem`` (DESIGN.md section
+12), constructed only when telemetry is requested
 (``ManycoreSystem(config, telemetry=...)``, ``RunSpec(telemetry=True)``,
 ``repro --telemetry`` or ``REPRO_TELEMETRY=1``), so a plain run never
-imports, branches on, or calls any of this.
+imports, branches on, or calls any of this.  The system calls its
+hooks; none of them changes what the simulation computes:
 
-Attachment is observational only:
+* ``on_send`` assigns coherence transaction ids (stamped onto
+  ``CoherenceMsg.txn``, which the protocol never reads) and records
+  begin/end trace events;
+* ``on_net_send`` records packet slices and ONet laser mode
+  transitions (the growth of the network's transition counter since
+  the previous packet: only a send moves it);
+* ``on_barrier`` records barrier slices, first arrival to release;
+* ``on_run_start`` / ``on_run_end`` open the first and close the last
+  counter window.  In between, windows ride the event queue itself as
+  periodic *heartbeat* events that only read state and reschedule
+  themselves while the queue is non-empty, so the simulation stays
+  byte-identical (heartbeats shift event sequence numbers uniformly,
+  preserving every tie-break between real events).
 
-* ``system.send_msg`` is wrapped to assign coherence transaction ids
-  (stamped onto ``CoherenceMsg.txn``) and record begin/end trace events;
-* ``system.network.send`` is wrapped to record packet slices and ONet
-  laser mode transitions (derived by differencing the transition
-  counter around the wrapped call -- ``AdaptiveSWMRLink`` has
-  ``__slots__``, so its methods cannot be instance-patched);
-* ``BarrierManager.arrive`` is wrapped at run start (the manager is
-  created inside ``run()``) to record barrier slices;
-* windowed counter snapshots ride the event queue itself as periodic
-  *heartbeat* events that only read state and reschedule themselves
-  while the queue is non-empty -- no ``EventQueue`` subclass, so
-  telemetry composes with the sanitizer's queue wrapper and the
-  simulation stays byte-identical (heartbeats shift event sequence
-  numbers uniformly, preserving every tie-break between real events).
-
-Byte-identity with telemetry on is pinned by
-``tests/telemetry/test_telemetry.py`` and the golden-number suite.
+The system calls the collector's ``on_send`` before the sanitizer's,
+its ``on_net_send`` after the sanitizer's audit of the same packet,
+and its ``on_run_end`` before the sanitizer's end-of-run audit, so a
+violation carries the closed, priced last window.  Byte-identity with
+telemetry on is pinned by ``tests/telemetry/test_telemetry.py`` and the
+golden-number suite.
 """
 
 from __future__ import annotations
@@ -88,7 +90,9 @@ class TelemetryConfig:
 
 
 class TelemetryCollector:
-    """Attached per-system metrics/trace recorder (see module docstring)."""
+    """Per-system metrics/trace recorder probe (see module docstring)."""
+
+    kind = "telemetry"
 
     def __init__(self, system, config: TelemetryConfig | None = None) -> None:
         self.system = system
@@ -110,32 +114,20 @@ class TelemetryCollector:
         #: closed window records, oldest first.
         self.windows: list[dict] = []
         self._prev_snapshot = None
-        self._orig_send_msg = None
-        self._orig_net_send = None
-        self._orig_arrive = None
+        #: ONet laser transitions already recorded
+        self._transitions_seen = system.network.stats.onet_mode_transitions
         #: (requester core, address) -> open transaction id
         self._open_txns: dict[tuple[int, int], int] = {}
         self._next_txn = 1
-        self._barrier_first: dict[int, int] = {}
-        self._barrier_latest: dict[int, int] = {}
+        #: barrier id -> (first arrival, latest arrival) while it is open
+        self._barriers: dict[int, tuple[int, int]] = {}
         self.result = None
         self.out_path: Path | None = None
 
     # ------------------------------------------------------------------
-    # attachment (ManycoreSystem.__init__, after the sanitizer so the
-    # hooks wrap -- and therefore observe -- the sanitized fabric)
+    # probe hooks
     # ------------------------------------------------------------------
-    def attach(self) -> None:
-        system = self.system
-        self._orig_send_msg = system.send_msg
-        self._orig_net_send = system.network.send
-        system.send_msg = self._send_msg
-        system.network.send = self._net_send
-
-    # ------------------------------------------------------------------
-    # fabric hooks
-    # ------------------------------------------------------------------
-    def _send_msg(self, msg, time: int) -> None:
+    def on_send(self, msg, time: int) -> None:
         now = self.system.eventq.now
         ts = time if time > now else now
         mt = msg.mtype
@@ -156,16 +148,14 @@ class TelemetryCollector:
                     "txn_end", ts, 0, f"{mt.name} @{msg.address}", tid,
                     {"core": msg.dest, "address": msg.address},
                 )
-        self._orig_send_msg(msg, time)
 
-    def _net_send(self, pkt):
+    def on_net_send(self, pkt, deliveries) -> None:
         # The injection packet is pooled (refilled per protocol message),
         # so its fields are read within this call and never retained.
         src, dst, ts = pkt.src, pkt.dst, pkt.time
-        stats = self.system.network.stats
-        transitions_before = stats.onet_mode_transitions
-        deliveries = self._orig_net_send(pkt)
-        transitions = stats.onet_mode_transitions - transitions_before
+        seen = self.system.network.stats.onet_mode_transitions
+        transitions = seen - self._transitions_seen
+        self._transitions_seen = seen
         if transitions:
             cluster_of = getattr(self.system.network, "_cluster_of_core", None)
             self.trace.record(
@@ -189,35 +179,28 @@ class TelemetryCollector:
                 "pkt", ts, last_arrival - ts, f"pkt {src}->{dst}", None,
                 {"src": src, "dst": dst, "bits": pkt.size_bits},
             )
-        return deliveries
 
-    def _arrive(self, barrier_id: int, now: int, resume) -> None:
+    #: aliases: a plain system's ``send_msg`` must be neither
+    _send_msg = on_send
+    _net_send = on_net_send
+
+    def on_barrier(self, barrier_id: int, now: int, released: bool) -> None:
+        first, latest = self._barriers.pop(barrier_id, (now, now))
+        if now > latest:
+            latest = now
+        if not released:
+            self._barriers[barrier_id] = (first, latest)
+            return
         barriers = self.system.barriers
-        if barrier_id not in self._barrier_first:
-            self._barrier_first[barrier_id] = now
-            self._barrier_latest[barrier_id] = now
-        elif now > self._barrier_latest[barrier_id]:
-            self._barrier_latest[barrier_id] = now
-        completed_before = barriers.barriers_completed
-        self._orig_arrive(barrier_id, now, resume)
-        if barriers.barriers_completed != completed_before:
-            t0 = self._barrier_first.pop(barrier_id)
-            t1 = self._barrier_latest.pop(barrier_id) + barriers.release_latency
-            self.trace.record(
-                "barrier", t0, t1 - t0, f"barrier {barrier_id}", None,
-                {"id": barrier_id, "participants": barriers.participants},
-            )
+        end = latest + barriers.release_latency
+        self.trace.record(
+            "barrier", first, end - first, f"barrier {barrier_id}", None,
+            {"id": barrier_id, "participants": barriers.participants},
+        )
 
-    # ------------------------------------------------------------------
-    # run lifecycle (explicit notifications from ManycoreSystem.run --
-    # the barrier manager and core models only exist from run() on)
-    # ------------------------------------------------------------------
     def on_run_start(self) -> None:
-        system = self.system
-        self._orig_arrive = system.barriers.arrive
-        system.barriers.arrive = self._arrive
-        eventq = system.eventq
-        self._prev_snapshot = take_snapshot(system, eventq.now)
+        eventq = self.system.eventq
+        self._prev_snapshot = take_snapshot(self.system, eventq.now)
         eventq.schedule(eventq.now + self.window_cycles, self._heartbeat)
 
     def _heartbeat(self, now: int) -> None:
